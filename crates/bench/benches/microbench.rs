@@ -157,6 +157,26 @@ fn bench_obs_overhead(opts: &BenchOptions) -> Vec<BenchReport> {
     ]
 }
 
+fn bench_obs_reduce(opts: &BenchOptions) -> Vec<BenchReport> {
+    // The fleet reducer alone: the canonical 8-session, 1 s fleet (the
+    // golden-rollup fleet) recorded once, then each stream folded by
+    // `reduce_one_stream`. Almost every line is a `gain_step` the
+    // reducer only counts, so this row prices line parsing: copying
+    // every key and string again costs about 2–3× this row.
+    use movr_obs::reduce_one_stream;
+    let fleet = movr_system::fleet::fleet_jsonl(8, 1.0, 1);
+    vec![bench_fn("obs_reduce_fleet_jsonl", opts, || {
+        fleet
+            .iter()
+            .map(|jsonl| {
+                let (_, events) =
+                    reduce_one_stream("<fleet>", jsonl.as_bytes()).expect("fleet stream reduces");
+                events
+            })
+            .sum::<u64>()
+    })]
+}
+
 fn bench_batch_kernels(opts: &BenchOptions) -> Vec<BenchReport> {
     // The SoA batch entry point against the scalar loop it replaces:
     // one steered array, one full 101-bearing probe row (what a single
@@ -233,7 +253,7 @@ fn bench_lint_workspace(opts: &BenchOptions) -> Vec<BenchReport> {
 
 fn main() {
     let opts = BenchOptions::from_args(std::env::args().skip(1));
-    let suites: [fn(&BenchOptions) -> Vec<BenchReport>; 11] = [
+    let suites: [fn(&BenchOptions) -> Vec<BenchReport>; 12] = [
         bench_link_budget,
         bench_relay_budget,
         bench_gain_control,
@@ -242,6 +262,7 @@ fn main() {
         bench_alignment_sweep,
         bench_session_second,
         bench_obs_overhead,
+        bench_obs_reduce,
         bench_batch_kernels,
         bench_pool_overhead,
         bench_lint_workspace,

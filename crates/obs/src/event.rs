@@ -102,16 +102,21 @@ impl Event {
     /// `{"t_ns":<nanos>,"kind":"<kind>",<fields...>}`.
     pub fn json_line(&self) -> String {
         let mut out = String::with_capacity(48 + 24 * self.fields.len());
+        self.write_json_line(&mut out);
+        out
+    }
+
+    /// Appends [`Event::json_line`] to `out`.
+    pub(crate) fn write_json_line(&self, out: &mut String) {
         let _ = write!(out, "{{\"t_ns\":{},\"kind\":", self.t.as_nanos());
-        write_json_str(&mut out, self.kind);
+        write_json_str(out, self.kind);
         for (name, value) in &self.fields {
             out.push(',');
-            write_json_str(&mut out, name);
+            write_json_str(out, name);
             out.push(':');
-            write_json_value(&mut out, value);
+            write_json_value(out, value);
         }
         out.push('}');
-        out
     }
 }
 

@@ -128,8 +128,9 @@ fn cmd_reduce(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-fn load_json(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+/// Parses `text`, read from `path`, in place: the document borrows its
+/// strings from `text`, so the caller keeps the text alive.
+fn parse_json<'t>(path: &str, text: &'t str) -> Result<Json<'t>, String> {
     Json::parse(text.trim_end()).map_err(|e| format!("{path}: {e}"))
 }
 
@@ -137,8 +138,10 @@ fn cmd_diff(args: &[String]) -> Result<i32, String> {
     let [a_path, b_path] = args else {
         return Err(format!("`diff` takes exactly two rollup files\n{USAGE}"));
     };
-    let a = load_json(a_path)?;
-    let b = load_json(b_path)?;
+    let a_text = std::fs::read_to_string(a_path).map_err(|e| format!("{a_path}: {e}"))?;
+    let b_text = std::fs::read_to_string(b_path).map_err(|e| format!("{b_path}: {e}"))?;
+    let a = parse_json(a_path, &a_text)?;
+    let b = parse_json(b_path, &b_text)?;
     let entries = diff_json(&a, &b);
     if entries.is_empty() {
         println!("identical");

@@ -144,7 +144,7 @@ impl MemoryRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.json_line());
+            e.write_json_line(&mut out);
             out.push('\n');
         }
         out

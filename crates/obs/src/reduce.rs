@@ -72,23 +72,23 @@ fn fold_line(
         Some(v) => v.as_u64().ok_or("`session` field is not an integer")?,
     };
 
-    rollup.session_mut(session).events += 1;
+    let (s, sketches) = rollup.session_and_sketches(session);
+    s.events += 1;
     match kind {
         "frame" => {
             let delivered = doc
                 .get("delivered")
                 .and_then(Json::as_bool)
                 .ok_or("frame event has no bool `delivered` field")?;
-            let s = rollup.session_mut(session);
             s.frames_total += 1;
             if delivered {
                 s.frames_delivered += 1;
             }
             if let Some(snr) = doc.get("snr_db").and_then(Json::as_f64) {
-                rollup.observe(SK_SNR, snr);
+                sketches[SK_SNR].observe(snr);
             }
             if let Some(air) = doc.get("airtime_ns").and_then(Json::as_f64) {
-                rollup.observe(SK_AIRTIME, air);
+                sketches[SK_AIRTIME].observe(air);
             }
         }
         "mode_switch" => {
@@ -102,7 +102,6 @@ fn fold_line(
                     .as_str()
                     .ok_or("mode_switch `from` field is not a string")?,
             };
-            let s = rollup.session_mut(session);
             if from != "start" {
                 s.mode_switches += 1;
             }
@@ -115,17 +114,15 @@ fn fold_line(
                 .get("cost_ns")
                 .and_then(Json::as_u64)
                 .ok_or("realign event has no integer `cost_ns` field")?;
-            let s = rollup.session_mut(session);
             s.realigns += 1;
             s.realign_time_ns += cost;
-            rollup.observe(SK_REALIGN, movr_math::convert::u64_to_f64(cost));
+            sketches[SK_REALIGN].observe(movr_math::convert::u64_to_f64(cost));
         }
         "stall_recovered" => {
             let frames = doc
                 .get("stall_frames")
                 .and_then(Json::as_u64)
                 .ok_or("stall_recovered event has no integer `stall_frames` field")?;
-            let s = rollup.session_mut(session);
             s.glitches += 1;
             s.glitch_frames += frames;
         }
@@ -145,10 +142,9 @@ fn fold_line(
                 }
                 if name == "realign_stall" {
                     let dur = t_ns.saturating_sub(start_ns);
-                    let s = rollup.session_mut(session);
                     s.stall_spans += 1;
                     s.stall_time_ns += dur;
-                    rollup.observe(SK_STALL, movr_math::convert::u64_to_f64(dur));
+                    sketches[SK_STALL].observe(movr_math::convert::u64_to_f64(dur));
                 }
             }
         }
@@ -159,7 +155,7 @@ fn fold_line(
     Ok(())
 }
 
-fn span_fields(doc: &Json) -> Result<(&str, u64), String> {
+fn span_fields<'d>(doc: &'d Json<'_>) -> Result<(&'d str, u64), String> {
     let name = doc
         .get("span")
         .and_then(Json::as_str)
@@ -396,7 +392,8 @@ mod tests {
     fn rollup_json_from_reduce_parses_and_counts_match() {
         let mut r = Rollup::new();
         reduce_lines("<t>", SAMPLE.lines(), &mut r).expect("valid");
-        let doc = Json::parse(&r.to_json()).expect("rollup parses");
+        let json = r.to_json();
+        let doc = Json::parse(&json).expect("rollup parses");
         let fleet = doc.get("fleet").expect("fleet");
         assert_eq!(fleet.get("events").and_then(Json::as_u64), Some(9));
         assert_eq!(fleet.get("sessions").and_then(Json::as_u64), Some(1));

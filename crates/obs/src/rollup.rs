@@ -198,12 +198,14 @@ impl Rollup {
             .map(|i| &self.sketches[i])
     }
 
-    pub(crate) fn session_mut(&mut self, id: u64) -> &mut SessionRollup {
-        self.sessions.entry(id).or_default()
-    }
-
-    pub(crate) fn observe(&mut self, sketch: usize, v: f64) {
-        self.sketches[sketch].observe(v);
+    /// Session `id`'s aggregates (created on first use) together with
+    /// the fleet sketches, so one event can update both through a single
+    /// session lookup.
+    pub(crate) fn session_and_sketches(
+        &mut self,
+        id: u64,
+    ) -> (&mut SessionRollup, &mut [Sketch; 4]) {
+        (self.sessions.entry(id).or_default(), &mut self.sketches)
     }
 
     /// The fleet-wide aggregate: every session's counters and
@@ -234,7 +236,7 @@ impl Rollup {
             a.try_merge(b)?;
         }
         for (id, s) in &other.sessions {
-            self.session_mut(*id).absorb(s);
+            self.sessions.entry(*id).or_default().absorb(s);
         }
         Ok(())
     }
@@ -317,7 +319,7 @@ fn diff_walk(path: &str, a: &Json, b: &Json, out: &mut Vec<DiffEntry>) {
         (Json::Obj(ao), Json::Obj(bo)) => {
             for (k, av) in ao {
                 let sub = if path.is_empty() {
-                    k.clone()
+                    k.to_string()
                 } else {
                     format!("{path}.{k}")
                 };
@@ -333,7 +335,7 @@ fn diff_walk(path: &str, a: &Json, b: &Json, out: &mut Vec<DiffEntry>) {
             for (k, bv) in bo {
                 if !ao.iter().any(|(ak, _)| ak == k) {
                     let sub = if path.is_empty() {
-                        k.clone()
+                        k.to_string()
                     } else {
                         format!("{path}.{k}")
                     };
@@ -400,7 +402,7 @@ mod tests {
     fn sample() -> Rollup {
         let mut r = Rollup::new();
         {
-            let s = r.session_mut(0);
+            let (s, sketches) = r.session_and_sketches(0);
             s.events = 10;
             s.frames_total = 4;
             s.frames_delivered = 3;
@@ -411,9 +413,9 @@ mod tests {
             *s.transitions
                 .entry(("los".into(), "reflector0".into()))
                 .or_insert(0) += 1;
+            sketches[2].observe(21.5);
+            sketches[2].observe(24.0);
         }
-        r.observe(2, 21.5);
-        r.observe(2, 24.0);
         r
     }
 
@@ -440,14 +442,14 @@ mod tests {
             .fields()
             .expect("object")
             .iter()
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| k.as_ref())
             .collect();
         assert_eq!(top, ["fleet", "schema", "sessions"]);
         let fleet_keys: Vec<&str> = fleet
             .fields()
             .expect("object")
             .iter()
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| k.as_ref())
             .collect();
         let mut sorted = fleet_keys.clone();
         sorted.sort_unstable();
@@ -468,7 +470,8 @@ mod tests {
         let mut a = sample();
         let b = sample();
         a.merge(&b).expect("same schema");
-        let doc = Json::parse(&a.to_json()).expect("parses");
+        let json = a.to_json();
+        let doc = Json::parse(&json).expect("parses");
         let fleet = doc.get("fleet").expect("fleet");
         assert_eq!(fleet.get("frames_total").and_then(Json::as_u64), Some(8));
         assert_eq!(fleet.get("sessions").and_then(Json::as_u64), Some(1));
@@ -490,8 +493,9 @@ mod tests {
 
     #[test]
     fn diff_of_identical_rollups_is_empty() {
-        let a = Json::parse(&sample().to_json()).expect("a");
-        let b = Json::parse(&sample().to_json()).expect("b");
+        let (a_json, b_json) = (sample().to_json(), sample().to_json());
+        let a = Json::parse(&a_json).expect("a");
+        let b = Json::parse(&b_json).expect("b");
         assert!(diff_json(&a, &b).is_empty());
     }
 

@@ -44,6 +44,9 @@ cargo test -q --offline
 echo "==> workspace tests (all crates)"
 cargo test --workspace -q --offline
 
+echo "==> benchmark contract tests (perfbench is its own workspace)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> checkpoint gate: random-cut resume bit-identity + corruption rejection"
 cargo test -q --offline --test checkpoint
 
@@ -109,6 +112,10 @@ grep -q '"name":"array_gain_batch_101"' out/BENCH_micro.json || {
 }
 grep -q '"name":"par_tiny_worker_pool"' out/BENCH_micro.json || {
     echo "pool-overhead bench missing from microbench output" >&2
+    exit 1
+}
+grep -q '"name":"obs_reduce_fleet_jsonl"' out/BENCH_micro.json || {
+    echo "fleet-reducer bench missing from microbench output" >&2
     exit 1
 }
 
