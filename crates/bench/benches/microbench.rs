@@ -68,13 +68,26 @@ fn bench_gain_control(opts: &BenchOptions) -> Vec<BenchReport> {
 fn bench_system_step(opts: &BenchOptions) -> Vec<BenchReport> {
     let center = Vec2::new(4.0, 2.5);
     let yaw = center.bearing_deg_to(Vec2::new(0.5, 2.5));
-    let world = WorldState::player_only(PlayerState::standing(center, yaw));
-    vec![bench_with_setup(
-        "system_evaluate_frame",
-        opts,
-        || MovrSystem::paper_setup(SystemConfig::default()),
-        |mut sys| sys.evaluate(&world),
-    )]
+    let player = PlayerState::standing(center, yaw);
+    let world = WorldState::player_only(player);
+    // Hand raised: the direct path drops below the switch threshold, so
+    // the frame traces both relay hops, runs the §4.2 ramp and budgets
+    // the relay — the relayed-frame path.
+    let blocked = WorldState::player_only(player.with_hand(true));
+    vec![
+        bench_with_setup(
+            "system_evaluate_frame",
+            opts,
+            || MovrSystem::paper_setup(SystemConfig::default()),
+            |mut sys| sys.evaluate(&world),
+        ),
+        bench_with_setup(
+            "system_evaluate_frame_blocked",
+            opts,
+            || MovrSystem::paper_setup(SystemConfig::default()),
+            |mut sys| sys.evaluate(&blocked),
+        ),
+    ]
 }
 
 fn bench_trace_paths(opts: &BenchOptions) -> Vec<BenchReport> {

@@ -17,10 +17,20 @@ use crate::reflector::MovrReflector;
 use movr_obs::{Event, NullRecorder, Recorder};
 use movr_sim::SimTime;
 
+/// The most gain steps one ramp may take from the amplifier's minimum to
+/// its maximum gain. The default config needs 106 (0.5 dB over 53 dB);
+/// the cap leaves room for much finer steps while keeping a ramp — and
+/// its trace — bounded. A step so fine that it cannot cross the range in
+/// this many steps is a configuration error, rejected before the ramp
+/// starts.
+pub const MAX_RAMP_STEPS: usize = 10_000;
+
 /// Gain-control loop parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GainControlConfig {
-    /// Gain increase per step, dB.
+    /// Gain increase per step, dB. Must be positive and coarse enough to
+    /// cross the amplifier's gain range in at most [`MAX_RAMP_STEPS`]
+    /// steps.
     pub step_db: f64,
     /// Current jump (amperes) between consecutive steps that signals the
     /// saturation knee. Must clear sensor noise by a wide margin.
@@ -86,6 +96,11 @@ pub fn run_gain_control(
 /// instantaneous, so every event carries the same timestamp — the span
 /// conveys structure, not duration. Identical control behaviour: the
 /// recorder never reads the sensor or the RNG.
+///
+/// # Panics
+/// Panics if `step_db` is not positive, if crossing the amplifier's gain
+/// range takes more than [`MAX_RAMP_STEPS`] steps of `step_db`, or if
+/// `reads_per_step` is 0.
 pub fn run_gain_control_recorded(
     reflector: &mut MovrReflector,
     config: &GainControlConfig,
@@ -97,6 +112,11 @@ pub fn run_gain_control_recorded(
 
     let min_gain = reflector.amplifier().min_gain_db;
     let max_gain = reflector.amplifier().max_gain_db;
+    let ramp_steps = (max_gain - min_gain) / config.step_db;
+    assert!(
+        ramp_steps.is_finite() && ramp_steps <= movr_math::convert::usize_to_f64(MAX_RAMP_STEPS),
+        "gain step too fine: {ramp_steps} steps to cross the gain range, at most {MAX_RAMP_STEPS} allowed"
+    );
 
     let read_avg = |r: &mut MovrReflector| -> f64 {
         let mut acc = 0.0;
@@ -123,7 +143,11 @@ pub fn run_gain_control_recorded(
 
     let mut gain = reflector.set_gain_db(min_gain);
     let mut prev_current = read_avg(reflector);
-    let mut trace = vec![(gain, prev_current)];
+    // The minimum-gain point, at most ⌈ramp_steps⌉ steps, and one more
+    // for a last step that float accumulation leaves just short of the
+    // ceiling.
+    let mut trace = Vec::with_capacity(movr_math::convert::f64_to_usize(ramp_steps.ceil()) + 2);
+    trace.push((gain, prev_current));
     step(rec, gain, prev_current);
 
     loop {
@@ -288,6 +312,62 @@ mod tests {
             "gain_ceiling"
         };
         assert_eq!(rec.of_kind(terminal).count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "gain step too fine")]
+    fn step_needing_more_than_the_cap_is_rejected() {
+        // 53 dB in 1e-12 dB steps is ≈ 5·10¹³ steps: the sensor noise
+        // sits far below the knee threshold, so nothing else would stop
+        // the ramp before its trace exhausted memory.
+        let mut r = device(0);
+        run_gain_control(
+            &mut r,
+            &GainControlConfig {
+                step_db: 1e-12,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gain step too fine")]
+    fn subnormal_step_is_rejected() {
+        // The span over a subnormal step overflows to +∞, which the
+        // finiteness half of the bound catches.
+        let mut r = device(0);
+        run_gain_control(
+            &mut r,
+            &GainControlConfig {
+                step_db: f64::from_bits(1),
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    fn step_at_the_cap_still_runs() {
+        // Exactly MAX_RAMP_STEPS steps across the default 53 dB range is
+        // allowed, and the ramp stays within the bound it was sized for.
+        // (Whether such a fine ramp still finds the knee is a separate
+        // question: per-step current jumps shrink with the step.)
+        let mut r = device(4);
+        let max_gain = r.amplifier().max_gain_db;
+        let min_gain = r.amplifier().min_gain_db;
+        let step_db = (max_gain - min_gain) / movr_math::convert::usize_to_f64(MAX_RAMP_STEPS);
+        let res = run_gain_control(
+            &mut r,
+            &GainControlConfig {
+                step_db,
+                ..Default::default()
+            },
+        );
+        assert!(
+            res.trace.len() <= MAX_RAMP_STEPS + 2,
+            "trace {}",
+            res.trace.len()
+        );
+        assert!((min_gain..=max_gain).contains(&res.chosen_gain_db));
     }
 
     #[test]

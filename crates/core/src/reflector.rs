@@ -8,9 +8,16 @@
 
 use movr_analog::{CurrentSensor, LeakageSurface, VariableGainAmplifier};
 use movr_math::Vec2;
-use movr_phased_array::SteeredArray;
+use movr_phased_array::{SteeredArray, UniformLinearArray};
 
 /// A wall-mounted MoVR reflector.
+///
+/// The analog state the beams and the amplifier determine — the loop
+/// attenuation and the amplifier's true supply current — is recomputed
+/// whenever one of its inputs changes (`steer_*`, `set_gain_db`,
+/// `set_amplifier_enabled`) and read from the cache everywhere else. The
+/// §4.2 ramp reads the sensor several times per gain step with the beams
+/// held still; none of those reads re-evaluates the leakage surface.
 #[derive(Debug, Clone)]
 pub struct MovrReflector {
     position: Vec2,
@@ -21,6 +28,14 @@ pub struct MovrReflector {
     current_sensor: CurrentSensor,
     /// True while the backscatter modulator toggles the amplifier at f₂.
     modulating: bool,
+    /// Both arrays' phase-shifter insertion losses, dB: fixed by the
+    /// hardware at construction.
+    insertion_loss_db: f64,
+    /// Loop attenuation at the current beams (positive dB).
+    loop_attenuation_db: f64,
+    /// Noise-free amplifier supply current at the current beams, gain
+    /// and power state, amperes.
+    true_current_a: f64,
 }
 
 impl MovrReflector {
@@ -28,15 +43,36 @@ impl MovrReflector {
     /// `boresight_deg` (into the room). `device_seed` individualises the
     /// leakage surface and sensor noise, as two physical units differ.
     pub fn wall_mounted(position: Vec2, boresight_deg: f64, device_seed: u64) -> Self {
-        MovrReflector {
+        let array = UniformLinearArray::paper_array();
+        // The signal crosses the shifters of both (identical) arrays.
+        let insertion_loss_db =
+            array.shifter().insertion_loss_db + array.shifter().insertion_loss_db;
+        let mut reflector = MovrReflector {
             position,
-            rx_array: SteeredArray::paper_array(boresight_deg),
-            tx_array: SteeredArray::paper_array(boresight_deg),
+            rx_array: SteeredArray::new(array, boresight_deg),
+            tx_array: SteeredArray::new(array, boresight_deg),
             amplifier: VariableGainAmplifier::default(),
             leakage: LeakageSurface::new(device_seed),
             current_sensor: CurrentSensor::new(device_seed.wrapping_add(1)),
             modulating: false,
-        }
+            insertion_loss_db,
+            loop_attenuation_db: 0.0,
+            true_current_a: 0.0,
+        };
+        reflector.beams_changed();
+        reflector
+    }
+
+    /// Recomputes the loop attenuation after a steering change, then the
+    /// supply current that depends on it.
+    fn beams_changed(&mut self) {
+        self.loop_attenuation_db = self.antenna_leakage_db() + self.insertion_loss_db;
+        self.amplifier_changed();
+    }
+
+    /// Recomputes the supply current after a gain or power change.
+    fn amplifier_changed(&mut self) {
+        self.true_current_a = self.amplifier.supply_current_a(self.loop_attenuation_db);
     }
 
     /// Where the reflector is mounted.
@@ -57,21 +93,27 @@ impl MovrReflector {
     /// Steers the receive beam to an absolute bearing; returns the applied
     /// (clamped) bearing.
     pub fn steer_rx(&mut self, absolute_deg: f64) -> f64 {
-        self.rx_array.steer_to(absolute_deg)
+        let applied = self.rx_array.steer_to(absolute_deg);
+        self.beams_changed();
+        applied
     }
 
     /// Steers the transmit beam to an absolute bearing; returns the
     /// applied (clamped) bearing.
     pub fn steer_tx(&mut self, absolute_deg: f64) -> f64 {
-        self.tx_array.steer_to(absolute_deg)
+        let applied = self.tx_array.steer_to(absolute_deg);
+        self.beams_changed();
+        applied
     }
 
     /// Steers both beams to the same bearing — the alignment-protocol
     /// posture ("sets the reflector's receive and transmit beams to the
     /// same direction, say θ₁", §4.1).
     pub fn steer_both(&mut self, absolute_deg: f64) -> f64 {
-        self.steer_rx(absolute_deg);
-        self.steer_tx(absolute_deg)
+        self.rx_array.steer_to(absolute_deg);
+        let applied = self.tx_array.steer_to(absolute_deg);
+        self.beams_changed();
+        applied
     }
 
     /// The amplifier (read access).
@@ -81,12 +123,15 @@ impl MovrReflector {
 
     /// Commands the amplifier gain (clamped); returns the applied value.
     pub fn set_gain_db(&mut self, gain_db: f64) -> f64 {
-        self.amplifier.set_gain_db(gain_db)
+        let applied = self.amplifier.set_gain_db(gain_db);
+        self.amplifier_changed();
+        applied
     }
 
     /// Powers the amplifier on/off.
     pub fn set_amplifier_enabled(&mut self, enabled: bool) {
         self.amplifier.set_enabled(enabled);
+        self.amplifier_changed();
     }
 
     /// Starts/stops the f₂ on/off modulation used during alignment.
@@ -100,7 +145,7 @@ impl MovrReflector {
     }
 
     /// Antenna-to-antenna TX→RX coupling attenuation (positive dB) at the
-    /// current beam settings — the raw leakage surface.
+    /// current beam settings — the raw leakage surface, evaluated afresh.
     pub fn antenna_leakage_db(&self) -> f64 {
         self.leakage
             .attenuation_db(self.tx_array.steering_deg(), self.rx_array.steering_deg())
@@ -109,8 +154,7 @@ impl MovrReflector {
     /// Total insertion loss of the signal path through both arrays'
     /// phase shifters, dB.
     pub fn insertion_loss_db(&self) -> f64 {
-        self.rx_array.array().shifter().insertion_loss_db
-            + self.tx_array.array().shifter().insertion_loss_db
+        self.insertion_loss_db
     }
 
     /// The attenuation of the full feedback loop the amplifier sees
@@ -118,13 +162,14 @@ impl MovrReflector {
     /// shifters → amplifier. This is what Fig. 7 measures terminal to
     /// terminal, and what the §4.2 criterion `G_dB < L_dB` compares
     /// against. The firmware cannot read it — only the current sensor.
+    /// Cached: recomputed on every steering change.
     pub fn loop_attenuation_db(&self) -> f64 {
-        self.antenna_leakage_db() + self.insertion_loss_db()
+        self.loop_attenuation_db
     }
 
     /// True if the amplifier is saturated at the current gain and beams.
     pub fn is_saturated(&self) -> bool {
-        self.amplifier.is_saturated(self.loop_attenuation_db())
+        self.amplifier.is_saturated(self.loop_attenuation_db)
     }
 
     /// The *effective* end-to-end amplification applied to a through
@@ -136,9 +181,9 @@ impl MovrReflector {
         if !self.amplifier.is_enabled() {
             return None;
         }
-        movr_analog::FeedbackLoop::new(self.amplifier.gain_db(), self.loop_attenuation_db())
+        movr_analog::FeedbackLoop::new(self.amplifier.gain_db(), self.loop_attenuation_db)
             .closed_loop_gain_db()
-            .map(|g| g - self.insertion_loss_db())
+            .map(|g| g - self.insertion_loss_db)
     }
 
     /// The current sensor's noise-stream RNG state, for checkpointing.
@@ -155,10 +200,30 @@ impl MovrReflector {
 
     /// What the firmware reads off the current sensor right now, amperes.
     pub fn measure_supply_current_a(&mut self) -> f64 {
-        let true_current = self
-            .amplifier
-            .supply_current_a(self.loop_attenuation_db());
-        self.current_sensor.measure_a(true_current)
+        self.current_sensor.measure_a(self.true_current_a)
+    }
+
+    /// Asserts the cached loop attenuation and supply current equal a
+    /// fresh evaluation from the beams, gain and power state, bit for bit.
+    #[cfg(test)]
+    pub(crate) fn assert_analog_cache_is_fresh(&self) {
+        let insertion_db = self.rx_array.array().shifter().insertion_loss_db
+            + self.tx_array.array().shifter().insertion_loss_db;
+        let loop_db = self
+            .leakage
+            .attenuation_db(self.tx_array.steering_deg(), self.rx_array.steering_deg())
+            + insertion_db;
+        assert_eq!(
+            self.loop_attenuation_db.to_bits(),
+            loop_db.to_bits(),
+            "stale loop attenuation"
+        );
+        let current = self.amplifier.supply_current_a(loop_db);
+        assert_eq!(
+            self.true_current_a.to_bits(),
+            current.to_bits(),
+            "stale supply current"
+        );
     }
 }
 
@@ -272,6 +337,66 @@ mod tests {
         r.set_gain_db(leak - 0.5);
         let near = r.measure_supply_current_a();
         assert!(near > far + 0.05, "near={near} far={far}");
+    }
+
+    #[test]
+    fn analog_cache_follows_every_setter() {
+        // A seeded random walk over every state-changing command; after
+        // each one the cache must equal a fresh evaluation to the bit.
+        let mut rng = movr_math::SimRng::seed_from_u64(0xCAC4E);
+        let mut r = device();
+        r.assert_analog_cache_is_fresh();
+        for _ in 0..2_000 {
+            match rng.uniform_usize(0, 5) {
+                0 => {
+                    r.steer_rx(rng.uniform(100.0, 350.0));
+                }
+                1 => {
+                    r.steer_tx(rng.uniform(100.0, 350.0));
+                }
+                2 => {
+                    r.steer_both(rng.uniform(-400.0, 400.0));
+                }
+                3 => {
+                    r.set_gain_db(rng.uniform(-5.0, 60.0));
+                }
+                4 => r.set_amplifier_enabled(rng.chance(0.5)),
+                _ => r.set_modulating(rng.chance(0.5)),
+            }
+            r.assert_analog_cache_is_fresh();
+        }
+    }
+
+    #[test]
+    fn cached_reads_match_the_uncached_formulas() {
+        // The cached readers return what the old per-call formulas did.
+        let mut r = device();
+        let mut fresh = device();
+        for (rx, tx, gain) in [
+            (225.0, 200.0, 30.0),
+            (210.0, 250.0, 52.0),
+            (240.0, 240.0, 45.0),
+        ] {
+            r.steer_rx(rx);
+            r.steer_tx(tx);
+            r.set_gain_db(gain);
+            let loop_db = r.antenna_leakage_db() + r.insertion_loss_db();
+            assert_eq!(r.loop_attenuation_db().to_bits(), loop_db.to_bits());
+            assert_eq!(r.is_saturated(), r.amplifier().is_saturated(loop_db));
+            let effective = movr_analog::FeedbackLoop::new(r.amplifier().gain_db(), loop_db)
+                .closed_loop_gain_db()
+                .map(|g| g - r.insertion_loss_db());
+            assert_eq!(
+                r.effective_gain_db().map(f64::to_bits),
+                effective.map(f64::to_bits)
+            );
+            // Same sensor stream, same true current: the same reading.
+            fresh.restore_sensor_rng_state(r.sensor_rng_state());
+            let expected = fresh
+                .current_sensor
+                .measure_a(r.amplifier().supply_current_a(loop_db));
+            assert_eq!(r.measure_supply_current_a().to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

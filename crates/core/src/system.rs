@@ -19,12 +19,13 @@
 
 use crate::gain_control::{run_gain_control, run_gain_control_recorded, GainControlConfig};
 use crate::reflector::MovrReflector;
-use crate::relay::{relay_link, relay_link_on, RelayBudget};
+use crate::relay::{relay_link_with, RelayBudget};
 use movr_math::{wrap_deg_180, Vec2};
 use movr_motion::{LighthouseTracker, WorldState};
 use movr_obs::{NullRecorder, Recorder};
-use movr_radio::{evaluate_link, RadioEndpoint, RateTable};
-use movr_rfsim::Scene;
+use movr_phased_array::SteeredArray;
+use movr_radio::{evaluate_link, ArrayPattern, RadioEndpoint, RateTable};
+use movr_rfsim::{trace_paths, Pattern, Scene, TracedLink};
 use movr_sim::SimTime;
 
 /// Device seed of the canonical `paper_setup` reflector unit.
@@ -110,6 +111,104 @@ impl Default for SystemConfig {
     }
 }
 
+/// The hop-1 (AP → reflector) antenna gains of one installed reflector,
+/// per path bearing, keyed by the bearing's bits.
+///
+/// Both ends of hop 1 are wall-mounted and both of its beams are
+/// calibration constants (the AP on its calibrated reflector bearing, the
+/// reflector's receive beam on its incidence bearing), so the gain toward
+/// a given path bearing never changes. Obstacles only add loss and never
+/// move a bearing: a frame's hop-1 paths are an ordered subset of the
+/// obstacle-free trace taken at installation. Each table holds the gains
+/// the live arrays compute at those bearings, so a hit returns the same
+/// bits a live query would.
+#[derive(Debug, Clone)]
+struct Hop1Gains {
+    /// AP gain per obstacle-free path, keyed by departure bearing.
+    ap: Vec<(u64, f64)>,
+    /// Reflector receive gain per obstacle-free path, keyed by arrival
+    /// bearing.
+    relay_rx: Vec<(u64, f64)>,
+}
+
+impl Hop1Gains {
+    /// Traces hop 1 in `scene` without obstacles and tabulates both
+    /// ends' gains. `ap_array` (mounted at `ap_pos`) and `reflector` must
+    /// hold the hop-1 calibration steering.
+    fn trace(
+        scene: &Scene,
+        ap_pos: Vec2,
+        ap_array: &SteeredArray,
+        reflector: &MovrReflector,
+    ) -> Self {
+        let paths = trace_paths(
+            scene.room(),
+            &[],
+            ap_pos,
+            reflector.position(),
+            scene.trace_config(),
+        );
+        let tabulate = |array: &SteeredArray, bearing: fn(&movr_rfsim::Path) -> f64| {
+            paths
+                .iter()
+                .map(|p| (bearing(p).to_bits(), array.gain_dbi(bearing(p))))
+                .collect()
+        };
+        Hop1Gains {
+            ap: tabulate(ap_array, |p| p.departure_deg),
+            relay_rx: tabulate(reflector.rx_array(), |p| p.arrival_deg),
+        }
+    }
+
+    /// [`crate::relay::relay_link_on`] with hop 1's two ends read from
+    /// the tables. `ap` and `reflector` must hold the hop-1 calibration
+    /// steering the tables were built at; the budget is then bit-identical
+    /// to `relay_link_on` on the same endpoints.
+    fn relay_link(
+        &self,
+        hop1: &TracedLink<'_>,
+        hop2: &TracedLink<'_>,
+        ap: &RadioEndpoint,
+        reflector: &MovrReflector,
+        headset_array: &SteeredArray,
+    ) -> RelayBudget {
+        relay_link_with(
+            hop1,
+            hop2,
+            &FixedGains {
+                gains: &self.ap,
+                live: ap.array(),
+            },
+            ap.tx_power_dbm(),
+            reflector,
+            &FixedGains {
+                gains: &self.relay_rx,
+                live: reflector.rx_array(),
+            },
+            &ArrayPattern(reflector.tx_array()),
+            &ArrayPattern(headset_array),
+        )
+    }
+}
+
+/// A fixed beam's tabulated gains as a [`Pattern`]: a bearing found in
+/// the table returns its stored gain, any other bearing is a live query
+/// on the array the table was built from.
+struct FixedGains<'a> {
+    gains: &'a [(u64, f64)],
+    live: &'a SteeredArray,
+}
+
+impl Pattern for FixedGains<'_> {
+    fn gain_dbi(&self, direction_deg: f64) -> f64 {
+        let key = direction_deg.to_bits();
+        match self.gains.iter().find(|&&(bits, _)| bits == key) {
+            Some(&(_, gain)) => gain,
+            None => self.live.gain_dbi(direction_deg),
+        }
+    }
+}
+
 /// The full MoVR deployment.
 #[derive(Debug, Clone)]
 pub struct MovrSystem {
@@ -120,6 +219,8 @@ pub struct MovrSystem {
     incidence_deg: Vec<f64>,
     /// Calibrated AP bearing (AP → reflector) per reflector.
     ap_to_reflector_deg: Vec<f64>,
+    /// Hop-1 gain tables per reflector, built at installation.
+    hop1_gains: Vec<Hop1Gains>,
     /// Last served reflector transmit bearing (for no-tracking staleness).
     last_tx_deg: Vec<f64>,
     /// Transmit-beam command issued at the previous evaluation, per
@@ -142,6 +243,7 @@ impl MovrSystem {
             reflectors: Vec::new(),
             incidence_deg: Vec::new(),
             ap_to_reflector_deg: Vec::new(),
+            hop1_gains: Vec::new(),
             last_tx_deg: Vec::new(),
             commanded_tx: Vec::new(),
             tracker: LighthouseTracker::new(config.seed),
@@ -179,17 +281,29 @@ impl MovrSystem {
     /// angle without that knowledge is implemented in
     /// [`crate::alignment::estimate_incidence`] and validated against
     /// ground truth in the Fig. 8 benchmark.
-    pub fn add_reflector(&mut self, reflector: MovrReflector) -> usize {
+    ///
+    /// Installation also tabulates the hop-1 gains both calibrated beams
+    /// give every AP → reflector path (see `Hop1Gains`), so relayed
+    /// frames look them up instead of re-evaluating the arrays.
+    pub fn add_reflector(&mut self, mut reflector: MovrReflector) -> usize {
         let incidence = reflector.position().bearing_deg_to(self.ap.position());
         let ap_bearing = self.ap.position().bearing_deg_to(reflector.position());
+        reflector.steer_rx(incidence);
+        let mut ap = self.ap;
+        let ap_array = ap.array_mut();
+        ap_array.steer_to(ap_bearing);
+        self.hop1_gains.push(Hop1Gains::trace(
+            &self.scene,
+            self.ap.position(),
+            ap_array,
+            &reflector,
+        ));
         self.reflectors.push(reflector);
         self.incidence_deg.push(incidence);
         self.ap_to_reflector_deg.push(ap_bearing);
         self.last_tx_deg.push(f64::NAN);
         self.commanded_tx.push(f64::NAN);
-        let i = self.reflectors.len() - 1;
-        self.reflectors[i].steer_rx(incidence); // lint: i = len - 1 of the vec pushed two lines up
-        i
+        self.reflectors.len() - 1
     }
 
     /// The scene (read access — benches inspect obstacles).
@@ -252,7 +366,10 @@ impl MovrSystem {
         self.reflectors[i].steer_rx(self.incidence_deg[i]);
         self.reflectors[i].steer_tx(tx_deg);
         run_gain_control(&mut self.reflectors[i], &self.config.gain_control);
-        relay_link(&self.scene, &ap, &self.reflectors[i], &hs)
+        let reflector = &self.reflectors[i];
+        let hop1 = self.scene.trace_link(ap.position(), reflector.position());
+        let hop2 = self.scene.trace_link(reflector.position(), hs.position());
+        self.hop1_gains[i].relay_link(&hop1, &hop2, &ap, reflector, hs.array())
     }
 
     /// The cost of a no-tracking windowed re-sweep of one reflector's
@@ -381,7 +498,8 @@ impl MovrSystem {
                 now,
                 rec,
             );
-            let mut budget = relay_link_on(&hop1, &hop2, &ap_r, &self.reflectors[i], hs.array());
+            let mut budget =
+                self.hop1_gains[i].relay_link(&hop1, &hop2, &ap_r, &self.reflectors[i], hs.array());
 
             if !self.config.use_tracking
                 && budget.end_snr_db < self.config.snr_switch_threshold_db
@@ -395,7 +513,13 @@ impl MovrSystem {
                     now,
                     rec,
                 );
-                budget = relay_link_on(&hop1, &hop2, &ap_r, &self.reflectors[i], hs.array());
+                budget = self.hop1_gains[i].relay_link(
+                    &hop1,
+                    &hop2,
+                    &ap_r,
+                    &self.reflectors[i],
+                    hs.array(),
+                );
                 realigned = true;
                 cost = self.sweep_realignment_cost();
             }
@@ -740,6 +864,106 @@ mod tests {
             assert_eq!(a.realigned, b.realigned, "t={t}");
             assert_eq!(a.realignment_cost, b.realignment_cost, "t={t}");
         }
+    }
+
+    #[test]
+    fn checkpoint_restore_leaves_the_reflector_analog_cache_fresh() {
+        // Restore goes through the steering/gain/power setters, so each
+        // restored unit's cached loop attenuation and supply current must
+        // equal a fresh evaluation — after the restore and after every
+        // frame that follows.
+        let cfg = SystemConfig {
+            command_loss_probability: 0.2,
+            ..Default::default()
+        };
+        let mut live = MovrSystem::paper_setup(cfg);
+        live.add_reflector(MovrReflector::wall_mounted(Vec2::new(4.0, 4.75), -110.0, 3));
+        let clear = WorldState::player_only(facing_ap_player());
+        let blocked = WorldState::player_only(facing_ap_player().with_hand(true));
+        live.evaluate_at(0.0, &clear);
+        live.evaluate_at(0.5, &blocked);
+        live.reflectors[1].set_amplifier_enabled(false);
+        live.reflectors[1].set_modulating(true);
+
+        let mut twin = MovrSystem::paper_setup(cfg);
+        twin.add_reflector(MovrReflector::wall_mounted(Vec2::new(4.0, 4.75), -110.0, 3));
+        twin.restore_checkpoint(live.checkpoint()).unwrap();
+        for r in twin.reflectors() {
+            r.assert_analog_cache_is_fresh();
+        }
+        for k in 1..10 {
+            let world = if k % 3 == 0 { &clear } else { &blocked };
+            twin.evaluate_at(0.5 + f64::from(k) * 0.02, world);
+            for r in twin.reflectors() {
+                r.assert_analog_cache_is_fresh();
+            }
+        }
+    }
+
+    #[test]
+    fn hop1_tables_cover_every_frame_path_with_live_gains() {
+        // Every hop-1 bearing a frame can produce — clear, hand-raised,
+        // or pruned by stacked bodies — is in the table, and every table
+        // entry is exactly the gain the calibrated live arrays give.
+        let mut sys = MovrSystem::paper_setup(SystemConfig::default());
+        sys.add_reflector(MovrReflector::wall_mounted(Vec2::new(4.0, 4.75), -110.0, 3));
+        let ap_pos = sys.ap.position();
+        let mut worlds = vec![
+            WorldState::player_only(facing_ap_player()),
+            WorldState::player_only(facing_ap_player().with_hand(true)),
+        ];
+        for r in &sys.reflectors {
+            let to = r.position() - ap_pos;
+            let mut world = WorldState::player_only(facing_ap_player());
+            for t in [0.3, 0.5, 0.7] {
+                world.others.push(Obstacle::new(BodyPart::Torso, ap_pos + to * t));
+            }
+            worlds.push(world);
+        }
+        for world in &worlds {
+            sys.sync_scene(world);
+            for i in 0..sys.reflectors.len() {
+                let mut ap = sys.ap;
+                ap.steer_to(sys.ap_to_reflector_deg[i]);
+                let mut reflector = sys.reflectors[i].clone();
+                reflector.steer_rx(sys.incidence_deg[i]);
+                let table = &sys.hop1_gains[i];
+                let hop1 = sys.scene.trace_link(ap.position(), reflector.position());
+                for p in hop1.paths() {
+                    let dep = p.departure_deg;
+                    let arr = p.arrival_deg;
+                    let ap_hit = table.ap.iter().find(|e| e.0 == dep.to_bits());
+                    let rx_hit = table.relay_rx.iter().find(|e| e.0 == arr.to_bits());
+                    assert_eq!(
+                        ap_hit.map(|e| e.1.to_bits()),
+                        Some(ap.array().gain_dbi(dep).to_bits()),
+                        "reflector {i}: AP departure {dep}"
+                    );
+                    assert_eq!(
+                        rx_hit.map(|e| e.1.to_bits()),
+                        Some(reflector.rx_array().gain_dbi(arr).to_bits()),
+                        "reflector {i}: relay arrival {arr}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_gains_answer_hits_from_the_table_and_misses_live() {
+        let mut array = movr_phased_array::SteeredArray::paper_array(20.0);
+        array.steer_to(35.0);
+        let planted = [(12.5f64.to_bits(), -99.0)];
+        let pattern = FixedGains {
+            gains: &planted,
+            live: &array,
+        };
+        // A hit returns the stored value, whatever the array would say.
+        assert_eq!(pattern.gain_dbi(12.5), -99.0);
+        // A miss — including a bearing one ulp away — is a live query.
+        let near = f64::from_bits(12.5f64.to_bits() + 1);
+        assert_eq!(pattern.gain_dbi(near).to_bits(), array.gain_dbi(near).to_bits());
+        assert_eq!(pattern.gain_dbi(-40.0).to_bits(), array.gain_dbi(-40.0).to_bits());
     }
 
     #[test]

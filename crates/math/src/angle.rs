@@ -5,9 +5,22 @@
 //! must be computed modulo 360° with the shortest-arc rule — a naive
 //! subtraction would report a 358° error between 359° and 1°.
 
+/// `deg % 360.0`, skipping the `fmod` call when `|deg| < 360`: in that
+/// range the remainder is exact and is `deg` itself (±0 included), so
+/// both branches return the same bits. NaN and ±∞ fail the comparison
+/// and take the `%` path, which maps them to NaN as before.
+#[inline]
+fn rem_360(deg: f64) -> f64 {
+    if deg.abs() < 360.0 {
+        deg
+    } else {
+        deg % 360.0
+    }
+}
+
 /// Wraps an angle into `(-180, 180]` degrees.
 pub fn wrap_deg_180(deg: f64) -> f64 {
-    let mut a = deg % 360.0;
+    let mut a = rem_360(deg);
     if a <= -180.0 {
         a += 360.0;
     } else if a > 180.0 {
@@ -18,7 +31,7 @@ pub fn wrap_deg_180(deg: f64) -> f64 {
 
 /// Wraps an angle into `[0, 360)` degrees.
 pub fn wrap_deg_360(deg: f64) -> f64 {
-    let a = deg % 360.0;
+    let a = rem_360(deg);
     if a < 0.0 {
         a + 360.0
     } else {
@@ -98,6 +111,91 @@ mod tests {
         assert_eq!(wrap_deg_360(-1.0), 359.0);
         assert_eq!(wrap_deg_360(360.0), 0.0);
         assert_eq!(wrap_deg_360(725.0), 5.0);
+    }
+
+    /// The pre-fast-path wraps, kept as the reference [`rem_360`] must
+    /// reproduce bit for bit.
+    fn reference_wrap_180(deg: f64) -> f64 {
+        let mut a = deg % 360.0;
+        if a <= -180.0 {
+            a += 360.0;
+        } else if a > 180.0 {
+            a -= 360.0;
+        }
+        a
+    }
+
+    fn reference_wrap_360(deg: f64) -> f64 {
+        let a = deg % 360.0;
+        if a < 0.0 {
+            a + 360.0
+        } else {
+            a
+        }
+    }
+
+    fn assert_wraps_match_reference(deg: f64) {
+        assert_eq!(
+            wrap_deg_180(deg).to_bits(),
+            reference_wrap_180(deg).to_bits(),
+            "wrap_deg_180({deg:e})"
+        );
+        assert_eq!(
+            wrap_deg_360(deg).to_bits(),
+            reference_wrap_360(deg).to_bits(),
+            "wrap_deg_360({deg:e})"
+        );
+    }
+
+    #[test]
+    fn fast_path_is_bit_identical_at_the_edges() {
+        let below_360 = f64::from_bits(360.0f64.to_bits() - 1);
+        let edges = [
+            0.0,
+            -0.0,
+            below_360,
+            -below_360,
+            359.999_999_999,
+            -359.999_999_999,
+            360.0,
+            -360.0,
+            f64::from_bits(360.0f64.to_bits() + 1),
+            720.0,
+            -720.0,
+            180.0,
+            -180.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for deg in edges {
+            assert_wraps_match_reference(deg);
+        }
+        // ±0 keep their sign through the fast path.
+        assert_eq!(wrap_deg_180(-0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(wrap_deg_360(-0.0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn fast_path_is_bit_identical_across_magnitudes() {
+        let mut rng = crate::SimRng::seed_from_u64(0x57A9);
+        for _ in 0..20_000 {
+            // Log-uniform magnitudes from 1e-300 to 1e12 plus a dense
+            // band around the ±360 boundary, both signs.
+            let exponent = rng.uniform(-300.0, 12.0);
+            let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+            assert_wraps_match_reference(sign * 10f64.powf(exponent));
+            assert_wraps_match_reference(rng.uniform(-1_080.0, 1_080.0));
+            assert_wraps_match_reference(sign * rng.uniform(359.0, 361.0));
+        }
     }
 
     #[test]

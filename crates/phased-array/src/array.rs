@@ -72,9 +72,14 @@ impl SteeringVector {
     pub fn array_factor(&self, theta_deg: f64) -> C64 {
         let sin_t = theta_deg.to_radians().sin();
         let mut sum = C64::ZERO;
-        for i in 0..self.n {
-            let phase = self.slope[i] * sin_t + self.applied_rad[i];
-            sum += C64::exp_j(phase) * self.weight[i];
+        let per_element = self
+            .slope
+            .iter()
+            .zip(self.applied_rad.iter())
+            .zip(self.weight.iter());
+        for ((sl, ar), &wt) in per_element.take(self.n) {
+            let phase = sl * sin_t + ar;
+            sum += C64::exp_j(phase) * wt;
         }
         sum / self.weight_sum
     }
@@ -224,6 +229,13 @@ impl SteeringVector {
 }
 
 /// An N-element uniform linear array of patch elements.
+///
+/// Everything a steering command does not change — the per-element phase
+/// slopes, the taper weights and their sum, and the aperture directivity —
+/// is computed once at construction (and again by
+/// [`UniformLinearArray::with_taper`]), so
+/// [`UniformLinearArray::steering_vector`] only quantises the applied
+/// phases.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformLinearArray {
     n: usize,
@@ -231,6 +243,13 @@ pub struct UniformLinearArray {
     element: PatchElement,
     shifter: PhaseShifter,
     taper: Taper,
+    /// Per-element observation phase slope `i·k·d` (radians per sin θ).
+    slope: [f64; MAX_ELEMENTS],
+    /// Per-element taper weight.
+    weight: [f64; MAX_ELEMENTS],
+    weight_sum: f64,
+    /// `10·log10(n × taper efficiency)`, the aperture directivity term.
+    directivity_db: f64,
 }
 
 impl UniformLinearArray {
@@ -256,12 +275,36 @@ impl UniformLinearArray {
             element,
             shifter,
             taper: Taper::Uniform,
+            slope: [0.0; MAX_ELEMENTS],
+            weight: [0.0; MAX_ELEMENTS],
+            weight_sum: 0.0,
+            directivity_db: 0.0,
         }
+        .with_aperture_constants()
     }
 
     /// The same array with an amplitude taper applied to the feed.
     pub fn with_taper(mut self, taper: Taper) -> Self {
         self.taper = taper;
+        self.with_aperture_constants()
+    }
+
+    /// Fills in the steering-independent per-element state from the
+    /// element count, spacing and taper.
+    fn with_aperture_constants(mut self) -> Self {
+        let kd = 2.0 * PI * self.spacing_wavelengths;
+        let mut weight_sum = 0.0;
+        let per_element = self.slope.iter_mut().zip(self.weight.iter_mut());
+        for (i, (sl, wt)) in per_element.enumerate().take(self.n) {
+            *sl = convert::usize_to_f64(i) * kd;
+            let w = self.taper.weight(i, self.n);
+            *wt = w;
+            weight_sum += w;
+        }
+        self.weight_sum = weight_sum;
+        // Directivity of a tapered aperture: n × taper efficiency.
+        self.directivity_db =
+            linear_to_db(convert::usize_to_f64(self.n) * self.taper.efficiency(self.n));
         self
     }
 
@@ -292,39 +335,26 @@ impl UniformLinearArray {
     }
 
     /// Precomputes the per-element state for one steer command: the
-    /// DAC-quantised applied phases, taper weights, and the aperture
-    /// directivity term. This is the expensive part of a gain query;
-    /// sweeps compute it once per beam and reuse it per observation.
+    /// DAC-quantised applied phases, alongside the array's
+    /// steering-independent slopes, taper weights and directivity term.
+    /// This is the expensive part of a gain query; sweeps compute it once
+    /// per beam and reuse it per observation.
     pub fn steering_vector(&self, steer_deg: f64) -> SteeringVector {
-        let kd = 2.0 * PI * self.spacing_wavelengths;
         let sin_s = steer_deg.to_radians().sin();
-        let mut slope = [0.0; MAX_ELEMENTS];
         let mut applied_rad = [0.0; MAX_ELEMENTS];
-        let mut weight = [0.0; MAX_ELEMENTS];
-        let mut weight_sum = 0.0;
-        let per_element = slope.iter_mut().zip(applied_rad.iter_mut()).zip(weight.iter_mut());
-        for (i, ((sl, ar), wt)) in per_element.enumerate().take(self.n) {
-            let fi = convert::usize_to_f64(i);
+        for (ar, sl) in applied_rad.iter_mut().zip(self.slope.iter()).take(self.n) {
             // Commanded per-element phase, quantised by the control DAC.
-            let ideal_deg = (-fi * kd * sin_s).to_degrees();
-            let applied_deg = self.shifter.apply(ideal_deg);
-            *sl = fi * kd;
-            *ar = applied_deg.to_radians();
-            let w = self.taper.weight(i, self.n);
-            *wt = w;
-            weight_sum += w;
+            let ideal_deg = (-sl * sin_s).to_degrees();
+            *ar = self.shifter.apply(ideal_deg).to_radians();
         }
         SteeringVector {
             n: self.n,
             steer_deg,
-            slope,
+            slope: self.slope,
             applied_rad,
-            weight,
-            weight_sum,
-            // Directivity of a tapered aperture: n × taper efficiency.
-            directivity_db: linear_to_db(
-                convert::usize_to_f64(self.n) * self.taper.efficiency(self.n),
-            ),
+            weight: self.weight,
+            weight_sum: self.weight_sum,
+            directivity_db: self.directivity_db,
             element: self.element,
         }
     }
@@ -572,10 +602,18 @@ mod tests {
 
     #[test]
     fn steering_vector_is_bit_identical_to_reference() {
+        // The reference recomputes slopes, weights and directivity per
+        // query; the array computes them at construction and again on
+        // every re-taper, including a taper replaced by another.
         let arrays = [
             UniformLinearArray::paper_array(),
             UniformLinearArray::paper_array().with_taper(Taper::RaisedCosine { pedestal: 0.3 }),
             UniformLinearArray::new(32, 0.5, PatchElement::default(), PhaseShifter::with_bits(4)),
+            UniformLinearArray::new(7, 0.42, PatchElement::default(), PhaseShifter::default())
+                .with_taper(Taper::Binomial),
+            UniformLinearArray::paper_array()
+                .with_taper(Taper::Binomial)
+                .with_taper(Taper::RaisedCosine { pedestal: 0.6 }),
         ];
         for arr in &arrays {
             for steer in [-61.3, -30.0, 0.0, 17.7, 45.0, 70.0] {

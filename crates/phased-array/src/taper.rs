@@ -64,9 +64,9 @@ impl Taper {
     /// Taper efficiency: the peak-gain factor relative to uniform
     /// feeding, `(Σw)² / (n·Σw²)`, in `(0, 1]`.
     pub fn efficiency(&self, n: usize) -> f64 {
-        let w: Vec<f64> = (0..n).map(|i| self.weight(i, n)).collect();
-        let sum: f64 = w.iter().sum();
-        let sum_sq: f64 = w.iter().map(|v| v * v).sum();
+        let (sum, sum_sq) = (0..n)
+            .map(|i| self.weight(i, n))
+            .fold((0.0, 0.0), |(sum, sum_sq), w| (sum + w, sum_sq + w * w));
         sum * sum / (n as f64 * sum_sq)
     }
 }

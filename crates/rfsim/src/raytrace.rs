@@ -167,8 +167,8 @@ pub fn trace_paths(
     rx: Vec2,
     config: &TraceConfig,
 ) -> Vec<Path> {
-    assert!(room.contains(tx), "tx must be inside the room");
-    assert!(room.contains(rx), "rx must be inside the room");
+    assert!(room.contains(tx), "tx must be inside the room"); // lint: documented precondition on mount/pose positions, never decoded input
+    assert!(room.contains(rx), "rx must be inside the room"); // lint: documented precondition on mount/pose positions, never decoded input
 
     let surfaces = room.surfaces();
     let mut paths = Vec::new();
@@ -234,8 +234,8 @@ pub fn trace_paths(
 /// that merely *end* on a wall (their own bounce point) do not count —
 /// interior intersection tests exclude endpoint grazes.
 fn crosses_any_wall(walls: &[Wall], vertices: &[Vec2]) -> bool {
-    for leg in vertices.windows(2) {
-        let seg = Segment::new(leg[0], leg[1]);
+    for (a, b) in legs(vertices) {
+        let seg = Segment::new(a, b);
         for w in walls {
             if seg.intersect_interior(&w.segment).is_some() {
                 return true;
@@ -252,8 +252,8 @@ fn crosses_any_wall(walls: &[Wall], vertices: &[Vec2]) -> bool {
 /// endpoint grazes.
 fn surface_occlusion_db(surfaces: &[Surface], vertices: &[Vec2]) -> f64 {
     let mut loss = 0.0;
-    for leg in vertices.windows(2) {
-        let seg = Segment::new(leg[0], leg[1]);
+    for (a, b) in legs(vertices) {
+        let seg = Segment::new(a, b);
         for s in surfaces {
             if seg.intersect_interior(&s.segment).is_some() {
                 loss += s.material.penetration_loss_db();
@@ -263,8 +263,17 @@ fn surface_occlusion_db(surfaces: &[Surface], vertices: &[Vec2]) -> f64 {
     loss
 }
 
+/// The consecutive vertex pairs of a chain, in order.
+fn legs(vertices: &[Vec2]) -> impl Iterator<Item = (Vec2, Vec2)> + '_ {
+    vertices
+        .iter()
+        .copied()
+        .zip(vertices.iter().copied().skip(1))
+}
+
 /// Builds a path from its vertex chain, computing geometry and shadowing.
-/// Returns `None` for degenerate (zero-length) chains.
+/// Returns `None` for degenerate chains (fewer than two vertices, or zero
+/// length).
 fn make_path(
     kind: PathKind,
     vertices: Vertices,
@@ -272,21 +281,24 @@ fn make_path(
     obstacles: &[Obstacle],
     surfaces: &[Surface],
 ) -> Option<Path> {
-    debug_assert!(vertices.len() >= 2);
+    let &[first, second, ..] = vertices.as_slice() else {
+        return None;
+    };
+    let &[.., before_last, last] = vertices.as_slice() else {
+        return None;
+    };
     let mut length = 0.0;
-    for w in vertices.windows(2) {
-        length += w[0].distance(w[1]);
+    for (a, b) in legs(&vertices) {
+        length += a.distance(b);
     }
     if length < 1e-6 {
         return None;
     }
-    let departure_deg = vertices[0].bearing_deg_to(vertices[1]);
-    let n = vertices.len();
-    let arrival_deg = vertices[n - 1].bearing_deg_to(vertices[n - 2]);
+    let departure_deg = first.bearing_deg_to(second);
+    let arrival_deg = last.bearing_deg_to(before_last);
     let reflection_loss_db: f64 = bounce_losses_db.iter().sum();
-    let shadow_loss_db: f64 = vertices
-        .windows(2)
-        .map(|w| total_shadow_loss_db(obstacles, &Segment::new(w[0], w[1])))
+    let shadow_loss_db: f64 = legs(&vertices)
+        .map(|(a, b)| total_shadow_loss_db(obstacles, &Segment::new(a, b)))
         .sum::<f64>()
         + surface_occlusion_db(surfaces, &vertices);
     Some(Path {

@@ -106,6 +106,11 @@ impl Scene {
         &self.room
     }
 
+    /// The tracer configuration [`Scene::paths_between`] uses.
+    pub fn trace_config(&self) -> &TraceConfig {
+        &self.trace
+    }
+
     /// The channel (carrier) model.
     pub fn channel(&self) -> &Channel {
         &self.channel

@@ -118,6 +118,10 @@ grep -q '"name":"obs_reduce_fleet_jsonl"' out/BENCH_micro.json || {
     echo "fleet-reducer bench missing from microbench output" >&2
     exit 1
 }
+grep -q '"name":"system_evaluate_frame_blocked"' out/BENCH_micro.json || {
+    echo "relayed-frame bench missing from microbench output" >&2
+    exit 1
+}
 
 echo "==> bench: sweep-rate gate (batched bit-identical and >= 3x over memoized,"
 echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"
