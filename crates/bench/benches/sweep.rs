@@ -1,38 +1,33 @@
-//! Sweep-rate benches: the §4.1 alignment sweep across three engine
-//! generations (seed-era uncached, PR-5 memoized scalar, batched SoA),
-//! and a multi-seed session fleet on the persistent worker pool with an
-//! explicit thread-scaling ladder.
+//! Sweep-rate benches: the §4.1 alignment sweep on two engines (the
+//! seed-era uncached reference and the batched SoA engine production
+//! runs), and a multi-seed session fleet on the persistent worker pool
+//! with an explicit thread-scaling ladder.
 //!
 //! Three claims are *asserted*, not just timed:
 //!
 //! * the batched full 101×101 incidence sweep is **bit-identical** to
-//!   both the memoized-scalar reference and the seed-era uncached
-//!   reference (re-trace + steering-vector rebuild per probe);
-//! * the memoized path is at least 5× faster than uncached, and the
-//!   batched path at least 2.5× faster again than memoized (it
-//!   measures ≈3.3× here; the gate sits below the measurement because
-//!   the two paths share a bit-pinned per-probe `powf` stream that
-//!   bounds the ratio near 4×, and a loaded single-core box compresses
-//!   it further — see DESIGN.md § "Performance, round 2");
+//!   the seed-era uncached reference (re-trace + steering-vector
+//!   rebuild per probe);
+//! * the batched sweep is at least 12.5× faster than the uncached one
+//!   (see DESIGN.md § "Performance, round 2");
 //! * the parallel session fleet is **byte-identical** to the same fleet
 //!   on one thread, at every probed thread count.
 //!
 //! Runs on the in-tree `movr-testkit` runner: one JSON line per bench
-//! plus `sweep_speedup` / `batch_speedup` / `fleet_speedup` /
-//! `fleet_speedup_4t` summary lines. Invoke with
+//! plus `sweep_speedup` / `fleet_speedup` / `fleet_speedup_4t` summary
+//! lines. Invoke with
 //! `cargo bench -p movr-bench --bench sweep` (full) or
 //! `... -- --quick` (smoke profile; CI writes this to
 //! `out/BENCH_sweep.json`).
 
 use movr::alignment::{estimate_incidence, AlignmentConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::round_trip_reflection_with;
 use movr::session::{run_session, SessionConfig, Strategy};
 use movr_math::{wrap_deg_180, SimRng, Vec2};
 use movr_motion::RandomWalk;
-use movr_phased_array::{PatternTable, SteeredArray};
-use movr_radio::{ArrayPattern, RadioEndpoint};
-use movr_rfsim::{MemoPattern, Pattern, Room, Scene};
+use movr_phased_array::SteeredArray;
+use movr_radio::RadioEndpoint;
+use movr_rfsim::{Pattern, Room, Scene};
 use movr_sim::{available_threads, pool_map};
 use movr_testkit::{bench_with_setup, BenchOptions, BenchReport};
 
@@ -108,57 +103,6 @@ fn uncached_incidence(
     best
 }
 
-/// The PR-5 generation of the sweep: traced links, pre-steered tables,
-/// and per-pattern gain memos, but still one scalar gain query and one
-/// scalar `round_trip_reflection_with` per probe. This is the "cached"
-/// row the batched engine is measured against.
-fn memoized_incidence(
-    scene: &Scene,
-    ap: &RadioEndpoint,
-    mut reflector: MovrReflector,
-    config: &AlignmentConfig,
-    rng: &mut SimRng,
-) -> (f64, f64, f64) {
-    assert!(config.modulated, "reference implements the modulated protocol");
-    reflector.set_gain_db(config.probe_gain_db);
-    reflector.set_modulating(true);
-    let forward = scene.trace_link(ap.position(), reflector.position());
-    let back = scene.trace_link(reflector.position(), ap.position());
-    let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
-    let ap_patterns: Vec<ArrayPattern<'_>> =
-        ap_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let ap_memos: Vec<MemoPattern<'_>> =
-        ap_patterns.iter().map(|p| MemoPattern::new(p)).collect();
-    let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
-    for &theta1 in config.reflector_codebook.beams() {
-        reflector.steer_both(theta1);
-        let relay_gain_db = reflector.effective_gain_db();
-        let rx_pattern = ArrayPattern(reflector.rx_array());
-        let tx_pattern = ArrayPattern(reflector.tx_array());
-        let rx_memo = MemoPattern::new(&rx_pattern);
-        let tx_memo = MemoPattern::new(&tx_pattern);
-        for ((theta2, _), ap_memo) in ap_table.entries().zip(&ap_memos) {
-            let reflected = round_trip_reflection_with(
-                &forward,
-                &back,
-                ap_memo,
-                ap.tx_power_dbm(),
-                relay_gain_db,
-                &rx_memo,
-                &tx_memo,
-            )
-            .unwrap_or(f64::NEG_INFINITY);
-            let reading = config
-                .probe
-                .measure_modulated(reflected, ap.tx_power_dbm(), rng);
-            if reading.power_dbm > best.0 {
-                best = (reading.power_dbm, theta1, theta2);
-            }
-        }
-    }
-    best
-}
-
 fn sweep_setup() -> (Scene, RadioEndpoint, MovrReflector, AlignmentConfig) {
     let scene = Scene::paper_office();
     let ap = RadioEndpoint::paper_radio(Vec2::new(0.5, 2.5), 20.0);
@@ -168,28 +112,16 @@ fn sweep_setup() -> (Scene, RadioEndpoint, MovrReflector, AlignmentConfig) {
     (scene, ap, reflector, AlignmentConfig::default())
 }
 
-/// Batched vs memoized vs uncached full alignment sweep. Asserts
-/// bit-identity across all three generations first, then times them and
-/// asserts the ≥ 5× memoized-over-uncached and ≥ 2.5× batched-over-
-/// memoized speedups the two optimisation rounds claim.
-fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64) {
+/// Batched vs uncached full alignment sweep. Asserts bit-identity
+/// first, then times both; the caller gates the speedup.
+fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64) {
     let (scene, ap, reflector, cfg) = sweep_setup();
 
     // Equivalence gate: same seed, same argmax, same peak power bits.
     let mut rng_b = SimRng::seed_from_u64(7);
     let batched = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng_b);
-    let mut rng_m = SimRng::seed_from_u64(7);
-    let (m_peak, m_t1, m_t2) =
-        memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng_m);
     let mut rng_u = SimRng::seed_from_u64(7);
     let (peak, t1, t2) = uncached_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng_u);
-    assert_eq!(
-        batched.peak_power_dbm.to_bits(),
-        m_peak.to_bits(),
-        "batched sweep must be bit-identical to the memoized reference"
-    );
-    assert_eq!(batched.reflector_angle_deg, m_t1);
-    assert_eq!(batched.ap_angle_deg, m_t2);
     assert_eq!(
         batched.peak_power_dbm.to_bits(),
         peak.to_bits(),
@@ -204,47 +136,14 @@ fn bench_alignment_sweep(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64) {
         || SimRng::seed_from_u64(7),
         |mut rng| estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng),
     );
-    let r_cached = bench_with_setup(
-        "alignment_sweep_101x101_cached",
-        opts,
-        || SimRng::seed_from_u64(7),
-        |mut rng| memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng),
-    );
     let r_uncached = bench_with_setup(
         "alignment_sweep_101x101_uncached",
         opts,
         || SimRng::seed_from_u64(7),
         |mut rng| uncached_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng),
     );
-    let sweep_speedup = r_uncached.median_ns / r_cached.median_ns;
-    // Paired ratios, not a ratio of the rows above: machine load
-    // drifts on second scales, so dividing two independently-taken
-    // aggregates mixes different load regimes and swings wildly for a
-    // gap this size (the ≥ 5× uncached/cached gap shrugs it off).
-    // Timing the two generations back-to-back inside each rep shows
-    // both the same machine state; the median of per-rep ratios is
-    // what the gate can rely on.
-    let mut ratios: Vec<f64> = (0..7)
-        .map(|_| {
-            let mut rng = SimRng::seed_from_u64(7);
-            let t = std::time::Instant::now();
-            std::hint::black_box(estimate_incidence(
-                &scene,
-                ap,
-                reflector.clone(),
-                &cfg,
-                &mut rng,
-            ));
-            let batched_s = t.elapsed().as_secs_f64();
-            let mut rng = SimRng::seed_from_u64(7);
-            let t = std::time::Instant::now();
-            std::hint::black_box(memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng));
-            t.elapsed().as_secs_f64() / batched_s
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let batch_speedup = ratios[ratios.len() / 2];
-    (vec![r_batched, r_cached, r_uncached], sweep_speedup, batch_speedup)
+    let sweep_speedup = r_uncached.median_ns / r_batched.median_ns;
+    (vec![r_batched, r_uncached], sweep_speedup)
 }
 
 /// Runs one seeded VR session and returns a byte-exact fingerprint of
@@ -336,26 +235,18 @@ fn bench_session_fleet(opts: &BenchOptions) -> (Vec<BenchReport>, f64, f64, usiz
 fn main() {
     let opts = BenchOptions::from_args(std::env::args().skip(1));
 
-    let (sweep_reports, sweep_speedup, batch_speedup) = bench_alignment_sweep(&opts);
+    let (sweep_reports, sweep_speedup) = bench_alignment_sweep(&opts);
     for r in &sweep_reports {
         println!("{}", r.json_line());
     }
     println!(
-        "{{\"name\":\"sweep_speedup\",\"speedup\":{sweep_speedup:.2},\"threshold\":5.0,\
-         \"bit_identical\":true}}"
-    );
-    println!(
-        "{{\"name\":\"batch_speedup\",\"speedup\":{batch_speedup:.2},\"threshold\":2.5,\
+        "{{\"name\":\"sweep_speedup\",\"speedup\":{sweep_speedup:.2},\"threshold\":12.5,\
          \"bit_identical\":true}}"
     );
     // Gate after the rows are out so a failing run still shows its data.
     assert!(
-        sweep_speedup >= 5.0,
-        "link cache must buy >= 5x on the full sweep, got {sweep_speedup:.2}x"
-    );
-    assert!(
-        batch_speedup >= 2.5,
-        "batch kernels must buy >= 2.5x over the memoized sweep, got {batch_speedup:.2}x"
+        sweep_speedup >= 12.5,
+        "batched sweep must buy >= 12.5x over the uncached reference, got {sweep_speedup:.2}x"
     );
 
     let (fleet_reports, fleet_speedup, fleet_speedup_4t, cores) = bench_session_fleet(&opts);

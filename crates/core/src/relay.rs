@@ -101,9 +101,9 @@ pub fn relay_link_on(
 /// [`relay_link_on`] with the four antenna patterns supplied by the
 /// caller. The patterns **must** describe the same steering as the live
 /// endpoints (`ap_pattern` = AP array, `relay_rx`/`relay_tx` = the
-/// reflector's arrays) — the point is that a sweep can wrap each one in
-/// a [`movr_rfsim::MemoPattern`] scoped to where its steering is fixed,
-/// so repeated path-angle queries cost a lookup. Bit-identical to
+/// reflector's arrays) — the point is that a caller can answer the
+/// queries of a hop whose steering is fixed from a precomputed table
+/// (as [`crate::MovrSystem`] does for hop 1). Bit-identical to
 /// [`relay_link_on`] for faithful patterns.
 #[allow(clippy::too_many_arguments)] // lint: the four patterns + reflector are the point of this entry
 pub fn relay_link_with(
@@ -154,7 +154,9 @@ pub fn relay_link_with(
 /// Round-trip reflection power back at the AP, dBm — what the AP's
 /// backscatter probe measures (before modulation conversion): AP →
 /// reflector (current beams) → amplifier → back toward the AP → AP's
-/// receive array. `None` when the amplifier is off or saturated.
+/// receive array. `None` when the amplifier is off or saturated. This
+/// is the scalar reference the batched sweep
+/// ([`round_trip_reflection_batched`]) is bit-identical to.
 pub fn round_trip_reflection_dbm(
     scene: &Scene,
     ap: &RadioEndpoint,
@@ -162,61 +164,22 @@ pub fn round_trip_reflection_dbm(
 ) -> Option<f64> {
     let forward = scene.trace_link(ap.position(), reflector.position());
     let back = scene.trace_link(reflector.position(), ap.position());
-    round_trip_reflection_on(&forward, &back, ap.array(), ap.tx_power_dbm(), reflector)
-}
-
-/// [`round_trip_reflection_dbm`] over already-traced hops: `forward`
-/// must be AP → reflector and `back` reflector → AP in the same scene.
-/// `ap_array` is the AP's current (possibly pre-steered) array, used on
-/// both ends of the round trip. Bit-identical to the plain form; the
-/// alignment sweep calls this 10,201 times over two fixed traces.
-pub fn round_trip_reflection_on(
-    forward: &TracedLink<'_>,
-    back: &TracedLink<'_>,
-    ap_array: &SteeredArray,
-    ap_tx_power_dbm: f64,
-    reflector: &MovrReflector,
-) -> Option<f64> {
-    round_trip_reflection_with(
-        forward,
-        back,
-        &ArrayPattern(ap_array),
-        ap_tx_power_dbm,
-        reflector.effective_gain_db(),
-        &ArrayPattern(reflector.rx_array()),
-        &ArrayPattern(reflector.tx_array()),
-    )
-}
-
-/// [`round_trip_reflection_on`] with the patterns (and the reflector's
-/// effective gain) supplied by the caller, so a sweep can memoize gain
-/// queries per candidate beam ([`movr_rfsim::MemoPattern`]) and hoist
-/// the per-posture gain computation out of its inner loop. The patterns
-/// must describe the same steering as the live devices; the result is
-/// then bit-identical to [`round_trip_reflection_on`].
-pub fn round_trip_reflection_with(
-    forward: &TracedLink<'_>,
-    back: &TracedLink<'_>,
-    ap_pattern: &dyn Pattern,
-    ap_tx_power_dbm: f64,
-    relay_gain_db: Option<f64>,
-    relay_rx: &dyn Pattern,
-    relay_tx: &dyn Pattern,
-) -> Option<f64> {
-    let hop1 = forward.evaluate(ap_pattern, ap_tx_power_dbm, relay_rx);
-    let out_dbm = hop1.received_dbm + relay_gain_db?;
-    let hop2 = back.evaluate(relay_tx, out_dbm, ap_pattern);
+    let ap_pattern = ArrayPattern(ap.array());
+    let relay_rx = ArrayPattern(reflector.rx_array());
+    let hop1 = forward.evaluate(&ap_pattern, ap.tx_power_dbm(), &relay_rx);
+    let out_dbm = hop1.received_dbm + reflector.effective_gain_db()?;
+    let hop2 = back.evaluate(&ArrayPattern(reflector.tx_array()), out_dbm, &ap_pattern);
     Some(hop2.received_dbm)
 }
 
-/// [`round_trip_reflection_with`] over frozen hops and per-path gain
+/// [`round_trip_reflection_dbm`] over frozen hops and per-path gain
 /// rows: `forward`/`back` are the two legs as [`LinkBatch`]es and each
 /// gain slice weights that leg's paths in path order (AP gains over the
 /// forward departures and back arrivals, reflector RX over the forward
 /// arrivals, reflector TX over the back departures). A sweep computes
 /// the AP rows once per codebook page and the reflector rows once per
 /// posture, so each probe is two multiply-accumulate passes.
-/// Bit-identical to [`round_trip_reflection_with`] for faithful rows:
+/// Bit-identical to [`round_trip_reflection_dbm`] for faithful rows:
 /// the hop evaluations replicate [`movr_rfsim::Scene::eval_paths`]
 /// term-for-term, and the hop-1 power skipped when the amplifier is
 /// off/saturated was computed-then-discarded in the scalar form.
@@ -418,14 +381,8 @@ mod tests {
             reflector.set_gain_db(reflector.loop_attenuation_db() - 6.0);
             let rx = reflector.rx_array().gain_dbi_batch(fwd.arrival_deg());
             let tx = reflector.tx_array().gain_dbi_batch(bck.departure_deg());
-            let scalar = round_trip_reflection_on(
-                &forward,
-                &back,
-                ap.array(),
-                ap.tx_power_dbm(),
-                &reflector,
-            )
-            .expect("amplifier on");
+            let scalar =
+                round_trip_reflection_dbm(&scene, &ap, &reflector).expect("amplifier on");
             let batched = round_trip_reflection_batched(
                 &fwd,
                 &bck,

@@ -199,12 +199,10 @@ pub fn direct_effects(files: &[SourceFile], graph: &CallGraph) -> DirectEffects 
                     // slice types (`&[u8]`), attributes, or array
                     // literals in expression position.
                     let indexes = j >= 1
-                        && matches!(
+                        && (matches!(
                             &f.tokens[j - 1].kind,
                             TokenKind::Ident(w) if !KEYWORD_BEFORE_BRACKET.contains(&w.as_str())
-                        )
-                        || j >= 1
-                            && matches!(f.tokens[j - 1].kind, TokenKind::Punct(')') | TokenKind::Punct(']'));
+                        ) || matches!(f.tokens[j - 1].kind, TokenKind::Punct(')') | TokenKind::Punct(']')));
                     if indexes && !line_justified(f, line) {
                         add(node, PANIC, line, "indexing `[`");
                     }
@@ -300,8 +298,6 @@ const HOT_ROOTS: &[&str] = &[
     "step_frame_recorded",
     "estimate_incidence",
     "estimate_incidence_recorded",
-    "estimate_incidence_hierarchical",
-    "estimate_incidence_hierarchical_recorded",
     "estimate_reflection",
     "estimate_reflection_recorded",
 ];
@@ -405,8 +401,8 @@ fn recorded_effect_divergence(
     out: &mut Vec<Diagnostic>,
 ) {
     // (file, base name) -> (plain union, recorded union, recorded line).
-    let mut pairs: BTreeMap<(usize, String), (Option<EffectSet>, Option<(EffectSet, usize)>)> =
-        BTreeMap::new();
+    type Twins = (Option<EffectSet>, Option<(EffectSet, usize)>);
+    let mut pairs: BTreeMap<(usize, String), Twins> = BTreeMap::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         if let Some(base) = node.name.strip_suffix("_recorded") {
             let entry = pairs.entry((node.file, base.to_string())).or_default();

@@ -63,8 +63,10 @@ impl LayerSpec {
     /// for syntax problems and name/layer detail for graph problems.
     pub fn parse(text: &str) -> Result<LayerSpec, String> {
         let mut crates: BTreeMap<String, CrateSpec> = BTreeMap::new();
-        let mut cur: Option<(Option<String>, Option<u32>, Option<BTreeSet<String>>)> = None;
-        let flush = |cur: &mut Option<(Option<String>, Option<u32>, Option<BTreeSet<String>>)>,
+        // The `[[crate]]` table being read: name, layer, allowed edges.
+        type Partial = (Option<String>, Option<u32>, Option<BTreeSet<String>>);
+        let mut cur: Option<Partial> = None;
+        let flush = |cur: &mut Option<Partial>,
                          crates: &mut BTreeMap<String, CrateSpec>,
                          lineno: usize|
          -> Result<(), String> {

@@ -1,6 +1,6 @@
 //! Parallel-capture analysis: what a closure drags across a thread
-//! boundary. `movr_sim::par_map` and `std::thread::scope` spawns are
-//! the workspace's only fan-out primitives, and their determinism
+//! boundary. The pass treats closures passed to a `par_map(…)` call or
+//! a `.spawn(…)` method as fan-out, and a fan-out's determinism
 //! guarantee ("byte-identical at any thread count") holds *only* when
 //! worker closures share nothing mutable and draw no randomness from a
 //! stream owned outside the closure. The borrow checker stops the
@@ -26,7 +26,7 @@
 //!   `RefCell`/`Rc` are not `Sync` — the "fix" is usually a lock, which
 //!   trades the compile error for nondeterminism). Atomics are
 //!   deliberately *not* flagged: monotonic progress tracking is the
-//!   sanctioned pattern (see `par_map`'s panic bookkeeping).
+//!   sanctioned pattern.
 //! * **`rng-unforked-in-par`** — a `SimRng` stream owned outside the
 //!   closure is referenced inside it other than through a per-item
 //!   `fork` whose label derives from a closure parameter. Draws would
@@ -186,29 +186,28 @@ fn check_closure(
                 ));
             }
         }
-        if info.is_rng && !is_per_item_fork(toks, j, hi, &c.params) {
-            if reported.insert(("rng-unforked-in-par", name.clone())) {
-                out.push(diag(
-                    f,
-                    "rng-unforked-in-par",
-                    toks[j].line,
-                    format!(
-                        "stream `{name}` crosses into a parallel closure without a per-item fork; draws interleave in worker order — use `{name}.fork(<label from the item index>)` (or seed per item)"
-                    ),
-                ));
-            }
+        if info.is_rng
+            && !is_per_item_fork(toks, j, hi, &c.params)
+            && reported.insert(("rng-unforked-in-par", name.clone()))
+        {
+            out.push(diag(
+                f,
+                "rng-unforked-in-par",
+                toks[j].line,
+                format!(
+                    "stream `{name}` crosses into a parallel closure without a per-item fork; draws interleave in worker order — use `{name}.fork(<label from the item index>)` (or seed per item)"
+                ),
+            ));
         }
-        if mutates(toks, j, hi) {
-            if reported.insert(("shared-mut-in-par-closure", name.clone())) {
-                out.push(diag(
-                    f,
-                    "shared-mut-in-par-closure",
-                    toks[j].line,
-                    format!(
-                        "parallel closure mutates enclosing binding `{name}`; which worker wrote last is scheduling-dependent — return per-item values and join in spawn order"
-                    ),
-                ));
-            }
+        if mutates(toks, j, hi) && reported.insert(("shared-mut-in-par-closure", name.clone())) {
+            out.push(diag(
+                f,
+                "shared-mut-in-par-closure",
+                toks[j].line,
+                format!(
+                    "parallel closure mutates enclosing binding `{name}`; which worker wrote last is scheduling-dependent — return per-item values and join in spawn order"
+                ),
+            ));
         }
     }
 }

@@ -32,8 +32,7 @@ impl Param {
     pub fn ty_last_ident(&self) -> Option<&str> {
         self.ty.split(|c: char| !c.is_alphanumeric() && c != '_')
             .filter(|s| !s.is_empty())
-            .filter(|s| !matches!(*s, "mut" | "dyn" | "impl" | "const"))
-            .next_back()
+            .rfind(|s| !matches!(*s, "mut" | "dyn" | "impl" | "const"))
     }
 }
 
@@ -434,8 +433,7 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
         }
     }
     let mut fields = Vec::new();
-    let resume;
-    match tokens.get(i).map(|t| &t.kind) {
+    let resume = match tokens.get(i).map(|t| &t.kind) {
         Some(TokenKind::Punct('{')) => {
             let close = match_brace(tokens, i);
             let interior = &tokens[i + 1..close.min(tokens.len())];
@@ -449,7 +447,7 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
                     fields.push(parse_param(part));
                 }
             }
-            resume = close + 1;
+            close + 1
         }
         Some(TokenKind::Punct('(')) => {
             // Tuple struct: record types without names.
@@ -465,10 +463,10 @@ fn parse_struct(tokens: &[Token], kw_idx: usize, out: &mut Vec<StructDef>) -> us
                     });
                 }
             }
-            resume = close + 1;
+            close + 1
         }
-        _ => resume = i, // unit struct `struct X;` or something exotic
-    }
+        _ => i, // unit struct `struct X;` or something exotic
+    };
     out.push(StructDef { name, line, fields });
     resume
 }
@@ -540,7 +538,7 @@ fn parse_closure(tokens: &[Token], open: usize) -> Option<(ClosureExpr, usize)> 
                 };
                 match t.kind {
                     TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => {
-                        depth += 1
+                        depth += 1;
                     }
                     TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => {
                         if depth == 0 {

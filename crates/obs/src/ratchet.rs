@@ -6,12 +6,12 @@
 //! ```toml
 //! schema = 1
 //!
-//! [bench.alignment_sweep_101x101_cached]
-//! median_ns = 23191563.0   # pinned median on the reference machine
+//! [bench.alignment_sweep_101x101_batched]
+//! median_ns = 9419198.5    # pinned median on the reference machine
 //! max_ratio = 4.0          # fail when measured > pinned * max_ratio
 //!
 //! [speedup.sweep_speedup]
-//! min = 5.0                # fail when reported speedup < min
+//! min = 12.5               # fail when reported speedup < min
 //!
 //! [speedup.fleet_speedup]
 //! min = 1.5
@@ -225,7 +225,7 @@ pub fn check(
     };
     let identity_ok = |row: &Json| -> bool {
         ["bit_identical", "byte_identical"].iter().all(|k| {
-            row.get(k).map_or(true, |v| v.as_bool() == Some(true))
+            row.get(k).is_none_or(|v| v.as_bool() == Some(true))
         })
     };
 

@@ -42,7 +42,7 @@ pub use geometry::{Room, Segment, Surface, Wall};
 pub use material::Material;
 pub use noise::NoiseModel;
 pub use obstacle::{BodyPart, Obstacle};
-pub use pattern::{IsotropicPattern, MemoPattern, Pattern, SectorPattern};
+pub use pattern::{IsotropicPattern, Pattern, SectorPattern};
 pub use raytrace::{trace_paths, Path, PathKind, TraceConfig, Vertices, MAX_PATH_VERTICES};
 pub use scene::{LinkBudget, LinkEval, Scene};
 pub use wideband::{wideband_snr_db, WidebandBudget};

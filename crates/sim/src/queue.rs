@@ -343,12 +343,10 @@ mod tests {
 
     #[test]
     fn restore_rejects_past_events_without_panicking() {
-        let err = match EventQueue::restore(
-            SimTime::from_millis(10),
-            vec![(SimTime::from_millis(5), ())],
-        ) {
-            Ok(_) => panic!("past event must be rejected"),
-            Err(e) => e,
+        let Err(err) =
+            EventQueue::restore(SimTime::from_millis(10), vec![(SimTime::from_millis(5), ())])
+        else {
+            panic!("past event must be rejected")
         };
         assert_eq!(err.at, SimTime::from_millis(5));
         assert_eq!(err.now, SimTime::from_millis(10));

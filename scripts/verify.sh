@@ -92,6 +92,9 @@ echo "100k-event rollup is byte-identical across thread counts"
 echo "==> workspace is warning-clean under -Dwarnings"
 RUSTFLAGS="-Dwarnings" cargo check --workspace --all-targets --offline
 
+echo "==> workspace is clippy-clean under -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> bench smoke (--quick profile, JSON lines)"
 cargo bench -p movr-bench --bench microbench --offline -- --quick 2>/dev/null \
     | grep '"median_ns"' > out/BENCH_micro.json
@@ -123,14 +126,13 @@ grep -q '"name":"system_evaluate_frame_blocked"' out/BENCH_micro.json || {
     exit 1
 }
 
-echo "==> bench: sweep-rate gate (batched bit-identical and >= 3x over memoized,"
-echo "    memoized >= 5x over uncached; fleet byte-identical, thread ladder)"
+echo "==> bench: sweep-rate gate (batched bit-identical and >= 12.5x over uncached;"
+echo "    fleet byte-identical, thread ladder)"
 cargo bench -p movr-bench --bench sweep --offline -- --quick 2>/dev/null \
     | grep '^{' > out/BENCH_sweep.json
 cat out/BENCH_sweep.json
 grep -q '"name":"alignment_sweep_101x101_batched"' out/BENCH_sweep.json
 grep -q '"name":"sweep_speedup"' out/BENCH_sweep.json
-grep -q '"name":"batch_speedup"' out/BENCH_sweep.json
 grep -q '"name":"fleet_speedup_4t"' out/BENCH_sweep.json
 grep -q '"bit_identical":true' out/BENCH_sweep.json
 grep -q '"byte_identical":true' out/BENCH_sweep.json

@@ -1,14 +1,18 @@
-//! Batched vs memoized-scalar evaluation must be **bit-identical**.
+//! Batched vs scalar evaluation must be **bit-identical**.
 //!
 //! The batched sweep engine (SoA gain kernels, `GainPage` codebook
-//! pages, `LinkBatch` tap rows) is a pure restructuring of the memoized
-//! scalar path it replaced: every batch entry point promises the same
-//! float-op order as per-cell `MemoPattern` queries through the traced
-//! links. These tests pin that promise on the paper setup for the three
-//! load-bearing sweeps — `estimate_incidence`, `estimate_reflection`,
-//! and the `opt_nlos` baseline — by re-running each against a scalar
-//! replica of the pre-batch implementation (same discipline as
-//! `cache_equivalence.rs`, one optimization generation later).
+//! pages, `LinkBatch` tap rows) is a pure restructuring of the scalar
+//! path it replaced: every batch entry point promises the same float-op
+//! order as per-cell pattern queries through the traced links. These
+//! tests pin that promise on the paper setup for the three load-bearing
+//! sweeps — `estimate_incidence`, `estimate_reflection`, and the
+//! `opt_nlos` baseline — by re-running each against a scalar replica of
+//! the pre-batch implementation (same discipline as
+//! `cache_equivalence.rs`, one optimization generation later). The
+//! pre-batch path also memoized each pattern's gain queries; a memo
+//! replays the exact `f64` its pattern produced, so the replicas query
+//! the patterns directly. The test names keep the historical
+//! "memoized scalar" wording.
 
 use movr::alignment::{
     estimate_incidence, estimate_reflection, AlignmentConfig, SweepParams,
@@ -16,16 +20,16 @@ use movr::alignment::{
 use movr::baselines::opt_nlos;
 use movr::gain_control::{run_gain_control, GainControlConfig};
 use movr::reflector::MovrReflector;
-use movr::relay::{relay_link_with, round_trip_reflection_with};
+use movr::relay::relay_link_with;
 use movr_math::{wrap_deg_180, SimRng, Vec2};
 use movr_phased_array::{Codebook, PatternTable};
 use movr_radio::{ArrayPattern, RadioEndpoint};
-use movr_rfsim::{MemoPattern, Scene};
+use movr_rfsim::Scene;
 
 /// Scalar replica of the pre-batch `estimate_incidence` core: traced
-/// links, a pre-steered AP table, and per-pattern gain memos, probing
-/// each (θ₁, θ₂) pair through `round_trip_reflection_with`.
-fn memoized_incidence(
+/// links and a pre-steered AP table, probing each (θ₁, θ₂) pair with
+/// the two hop evaluations of the round trip.
+fn scalar_incidence(
     scene: &Scene,
     ap: &RadioEndpoint,
     mut reflector: MovrReflector,
@@ -37,10 +41,6 @@ fn memoized_incidence(
     let forward = scene.trace_link(ap.position(), reflector.position());
     let back = scene.trace_link(reflector.position(), ap.position());
     let ap_table = PatternTable::new(ap.array(), &config.ap_codebook);
-    let ap_patterns: Vec<ArrayPattern<'_>> =
-        ap_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let ap_memos: Vec<MemoPattern<'_>> =
-        ap_patterns.iter().map(|p| MemoPattern::new(p)).collect();
 
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     for &theta1 in config.reflector_codebook.beams() {
@@ -48,19 +48,13 @@ fn memoized_incidence(
         let relay_gain_db = reflector.effective_gain_db();
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
-        let rx_memo = MemoPattern::new(&rx_pattern);
-        let tx_memo = MemoPattern::new(&tx_pattern);
-        for ((theta2, _), ap_memo) in ap_table.entries().zip(&ap_memos) {
-            let reflected = round_trip_reflection_with(
-                &forward,
-                &back,
-                ap_memo,
-                ap.tx_power_dbm(),
-                relay_gain_db,
-                &rx_memo,
-                &tx_memo,
-            )
-            .unwrap_or(f64::NEG_INFINITY);
+        for (theta2, ap_arr) in ap_table.entries() {
+            let ap_pattern = ArrayPattern(ap_arr);
+            let hop1 = forward.evaluate(&ap_pattern, ap.tx_power_dbm(), &rx_pattern);
+            let reflected = relay_gain_db.map_or(f64::NEG_INFINITY, |g| {
+                back.evaluate(&tx_pattern, hop1.received_dbm + g, &ap_pattern)
+                    .received_dbm
+            });
             let reading = if config.modulated {
                 config.probe.measure_modulated(reflected, ap.tx_power_dbm(), rng)
             } else {
@@ -94,7 +88,7 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
         let mut rng_b = SimRng::seed_from_u64(42);
         let batched = estimate_incidence(&scene, ap, reflector.clone(), &cfg, &mut rng_b);
         let mut rng_s = SimRng::seed_from_u64(42);
-        let (peak, t1, t2) = memoized_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng_s);
+        let (peak, t1, t2) = scalar_incidence(&scene, &ap, reflector.clone(), &cfg, &mut rng_s);
 
         assert_eq!(batched.peak_power_dbm.to_bits(), peak.to_bits());
         assert_eq!(batched.reflector_angle_deg.to_bits(), t1.to_bits());
@@ -108,7 +102,7 @@ fn batched_incidence_sweep_is_bit_identical_to_memoized_scalar() {
 /// reflector's RX beam stays put, its TX beam sweeps the codebook (with
 /// the §4.2 gain loop re-run per candidate), and the headset reports a
 /// noisy SNR per receive beam through `relay_link_with`.
-fn memoized_reflection(
+fn scalar_reflection(
     scene: &Scene,
     ap: &RadioEndpoint,
     mut reflector: MovrReflector,
@@ -122,11 +116,6 @@ fn memoized_reflection(
     let hop2 = scene.trace_link(reflector.position(), headset.position());
     let hs_table = PatternTable::new(headset.array(), sweep.headset_codebook);
     let ap_pattern = ArrayPattern(ap.array());
-    let ap_memo = MemoPattern::new(&ap_pattern);
-    let hs_patterns: Vec<ArrayPattern<'_>> =
-        hs_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let hs_memos: Vec<MemoPattern<'_>> =
-        hs_patterns.iter().map(|p| MemoPattern::new(p)).collect();
 
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
     for &tx_deg in sweep.tx_codebook.beams() {
@@ -134,18 +123,16 @@ fn memoized_reflection(
         run_gain_control(&mut reflector, &GainControlConfig::default());
         let rx_pattern = ArrayPattern(reflector.rx_array());
         let tx_pattern = ArrayPattern(reflector.tx_array());
-        let rx_memo = MemoPattern::new(&rx_pattern);
-        let tx_memo = MemoPattern::new(&tx_pattern);
-        for ((rx_deg, _), hs_memo) in hs_table.entries().zip(&hs_memos) {
+        for (rx_deg, hs_arr) in hs_table.entries() {
             let budget = relay_link_with(
                 &hop1,
                 &hop2,
-                &ap_memo,
+                &ap_pattern,
                 ap.tx_power_dbm(),
                 &reflector,
-                &rx_memo,
-                &tx_memo,
-                hs_memo,
+                &rx_pattern,
+                &tx_pattern,
+                &ArrayPattern(hs_arr),
             );
             let reported = budget.end_snr_db + rng.normal(0.0, snr_sigma_db);
             if reported > best.0 {
@@ -182,7 +169,7 @@ fn batched_reflection_sweep_is_bit_identical_to_memoized_scalar() {
         estimate_reflection(&scene, &ap, reflector.clone(), headset, &sweep, &mut rng_b);
     let mut rng_s = SimRng::seed_from_u64(7);
     let (peak, tx, rx) =
-        memoized_reflection(&scene, &ap, reflector, &headset, &sweep, &mut rng_s);
+        scalar_reflection(&scene, &ap, reflector, &headset, &sweep, &mut rng_s);
 
     assert_eq!(batched.peak_snr_db.to_bits(), peak.to_bits());
     assert_eq!(batched.tx_angle_deg.to_bits(), tx.to_bits());
@@ -209,33 +196,27 @@ fn batched_opt_nlos_is_bit_identical_to_memoized_scalar() {
 
     let batched = opt_nlos(&scene, &ap, &headset, &ap_codebook, &hs_codebook, exclude_cone_deg);
 
-    // Scalar replica of the pre-batch search: pre-steered tables with a
-    // gain memo per candidate pattern, evaluated through the traced link.
+    // Scalar replica of the pre-batch search: pre-steered tables,
+    // evaluated through the traced link.
     let direct_ap = ap.position().bearing_deg_to(hs_pos);
     let direct_hs = hs_pos.bearing_deg_to(ap.position());
     let link = scene.trace_link(ap.position(), hs_pos);
     let ap_table = PatternTable::new(ap.array(), &ap_codebook);
     let hs_table = PatternTable::new(headset.array(), &hs_codebook);
-    let ap_patterns: Vec<ArrayPattern<'_>> =
-        ap_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let ap_memos: Vec<MemoPattern<'_>> =
-        ap_patterns.iter().map(|p| MemoPattern::new(p)).collect();
-    let hs_patterns: Vec<ArrayPattern<'_>> =
-        hs_table.entries().map(|(_, arr)| ArrayPattern(arr)).collect();
-    let hs_memos: Vec<MemoPattern<'_>> =
-        hs_patterns.iter().map(|p| MemoPattern::new(p)).collect();
 
     let mut best = (f64::NEG_INFINITY, direct_ap, direct_hs);
     let mut combinations = 0usize;
-    for ((a, _), ap_memo) in ap_table.entries().zip(&ap_memos) {
+    for (a, ap_arr) in ap_table.entries() {
         let ap_is_direct = wrap_deg_180(a - direct_ap).abs() <= exclude_cone_deg;
-        for ((h, _), hs_memo) in hs_table.entries().zip(&hs_memos) {
+        for (h, hs_arr) in hs_table.entries() {
             let hs_is_direct = wrap_deg_180(h - direct_hs).abs() <= exclude_cone_deg;
             if ap_is_direct && hs_is_direct {
                 continue;
             }
             combinations += 1;
-            let snr = link.evaluate(ap_memo, ap.tx_power_dbm(), hs_memo).snr_db;
+            let snr = link
+                .evaluate(&ArrayPattern(ap_arr), ap.tx_power_dbm(), &ArrayPattern(hs_arr))
+                .snr_db;
             if snr > best.0 {
                 best = (snr, a, h);
             }

@@ -292,9 +292,8 @@ fn future_format_version_is_rejected_by_name_even_with_a_valid_checksum() {
     let digest = fnv1a64(&bytes[..payload_len]);
     bytes[payload_len..].copy_from_slice(&digest.to_le_bytes());
 
-    let err = match Session::restore(&bytes, &cfg) {
-        Err(e) => e,
-        Ok(_) => panic!("future-version snapshot restored successfully"),
+    let Err(err) = Session::restore(&bytes, &cfg) else {
+        panic!("future-version snapshot restored successfully")
     };
     match &err {
         SnapshotError::UnsupportedVersion { found: 7 } => {}
